@@ -13,30 +13,15 @@ bootstrap resample re-sorts via an integer radix sort of the dense rank
 keys; prediction packs all trees into one flat node array so a single
 vectorized descent covers every (tree, sample) pair, and
 ``predict``/``predict_with_std`` share that one descent instead of
-stacking per-tree prediction loops.  ``n_jobs`` optionally fans tree
-fitting out across processes — per-tree seeds and bootstrap draws are
-taken from the forest RNG *before* dispatch, so the trees are identical
-regardless of worker count.
+stacking per-tree prediction loops.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from repro.ml.tree import DecisionTreeRegressor
 from repro.perf.treefast import PackedTrees, feature_sort_ranks, subset_sort_orders
-
-
-def _fit_single_tree(
-    params: dict,
-    X: np.ndarray,
-    y: np.ndarray,
-    sort_order: np.ndarray | None,
-) -> DecisionTreeRegressor:
-    """Module-level so ``n_jobs`` workers can unpickle the task."""
-    return DecisionTreeRegressor(**params).fit(X, y, sort_order=sort_order)
 
 
 class RandomForestRegressor:
@@ -52,12 +37,9 @@ class RandomForestRegressor:
         bootstrap: bool = True,
         seed: int | None = None,
         accelerated: bool = True,
-        n_jobs: int | None = None,
     ) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
-        if n_jobs is not None and n_jobs < 1:
-            raise ValueError("n_jobs must be >= 1")
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
@@ -66,20 +48,9 @@ class RandomForestRegressor:
         self.bootstrap = bootstrap
         self.seed = seed
         self.accelerated = accelerated
-        self.n_jobs = n_jobs
         self.trees_: list[DecisionTreeRegressor] = []
         self.n_features_: int = 0
         self._packed: PackedTrees | None = None
-
-    def _tree_params(self, tree_seed: int) -> dict:
-        return {
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "min_samples_leaf": self.min_samples_leaf,
-            "max_features": self.max_features,
-            "seed": tree_seed,
-            "accelerated": self.accelerated,
-        }
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         X = np.asarray(X, dtype=float)
@@ -93,7 +64,7 @@ class RandomForestRegressor:
         rng = np.random.default_rng(self.seed)
         # All per-tree entropy is drawn up front, in the same order the
         # serial reference loop consumed it (seed, then bootstrap rows,
-        # per tree) — so accelerated / n_jobs variants grow byte-identical
+        # per tree) — so accelerated and reference arms grow byte-identical
         # trees.
         draws: list[tuple[int, np.ndarray | None]] = []
         for _ in range(self.n_estimators):
@@ -108,21 +79,23 @@ class RandomForestRegressor:
             # matrix serves the whole ensemble.
             shared_order = np.argsort(ranks, axis=1, kind="stable")
 
-        tasks: list[tuple[dict, np.ndarray, np.ndarray, np.ndarray | None]] = []
+        trees: list[DecisionTreeRegressor] = []
         for tree_seed, rows in draws:
-            params = self._tree_params(tree_seed)
+            tree = DecisionTreeRegressor(
+                max_depth=self.max_depth,
+                min_samples_split=self.min_samples_split,
+                min_samples_leaf=self.min_samples_leaf,
+                max_features=self.max_features,
+                seed=tree_seed,
+                accelerated=self.accelerated,
+            )
             if rows is None:
-                tasks.append((params, X, y, shared_order))
+                tree.fit(X, y, sort_order=shared_order)
             else:
                 order = subset_sort_orders(ranks, rows) if ranks is not None else None
-                tasks.append((params, X[rows], y[rows], order))
-
-        if self.n_jobs is not None and self.n_jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=self.n_jobs) as pool:
-                futures = [pool.submit(_fit_single_tree, *task) for task in tasks]
-                self.trees_ = [future.result() for future in futures]
-        else:
-            self.trees_ = [_fit_single_tree(*task) for task in tasks]
+                tree.fit(X[rows], y[rows], sort_order=order)
+            trees.append(tree)
+        self.trees_ = trees
         self._packed = None
         return self
 

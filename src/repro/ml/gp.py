@@ -13,8 +13,7 @@ is implementation overhead on top of it, so ``fit`` threads a per-fit
 ~120 likelihood evaluations of one hyperparameter search) and derives the
 final ``log_marginal_likelihood_`` from the factorization it already has
 instead of running a third Cholesky.  Both are bit-identical to the naive
-path.  :meth:`augment` additionally offers an *opt-in* O(n^2) incremental
-refit for callers that append one observation at a time with fixed theta.
+path.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from scipy import linalg, optimize, stats
 
 from repro.ml.kernels import Kernel, RBFKernel
 from repro.perf.cache import KernelCache
-from repro.perf.incremental import cholesky_append
 
 
 class GaussianProcessRegressor:
@@ -79,7 +77,6 @@ class GaussianProcessRegressor:
         self._y_std: float = 1.0
         self._chol: np.ndarray | None = None
         self._alpha: np.ndarray | None = None
-        self._diag_add: float = 0.0
         self.log_marginal_likelihood_: float = float("-inf")
 
     # ------------------------------------------------------------------
@@ -174,80 +171,14 @@ class GaussianProcessRegressor:
         self._alpha = linalg.cho_solve((self._chol, True), yn)
         self._X = X
         self._y_raw = y.copy()
-        self._diag_add = self.noise + 1e-8 + jitter
         # Derived from the factorization above — the third Cholesky the
         # seed implementation ran here was redundant.
-        self.log_marginal_likelihood_ = self._lml_from_factorization(yn)
-        return self
-
-    def _lml_from_factorization(self, yn: np.ndarray) -> float:
-        assert self._chol is not None and self._alpha is not None
-        return float(
+        self.log_marginal_likelihood_ = float(
             -0.5 * yn @ self._alpha
             - np.sum(np.log(np.diag(self._chol)))
-            - 0.5 * len(yn) * np.log(2.0 * np.pi)
+            - 0.5 * n * np.log(2.0 * np.pi)
         )
-
-    # ------------------------------------------------------------------
-    def augment(self, x: np.ndarray, y_new: float) -> "GaussianProcessRegressor":
-        """Append one observation at fixed theta in O(n^2) (opt-in path).
-
-        Extends the stored Cholesky factor by a bordered row/column
-        (:func:`~repro.perf.incremental.cholesky_append`) instead of
-        refactorizing, then refreshes the target normalization and
-        ``alpha`` with O(n^2) solves.  Hyperparameters are **not**
-        re-optimized — callers own the refit schedule.  Falls back to a
-        full fixed-theta refactorization when the bordered matrix is not
-        positive definite (e.g. a near-duplicate point at tiny jitter).
-        """
-        if self._X is None or self._chol is None or self._y_raw is None:
-            raise RuntimeError("GP is not fitted")
-        x = np.asarray(x, dtype=float).ravel()
-        if x.shape != (self._X.shape[1],):
-            raise ValueError(
-                f"expected a single point of shape ({self._X.shape[1]},), got {x.shape}"
-            )
-        X_new = np.vstack([self._X, x[None, :]])
-        y_raw = np.concatenate([self._y_raw, [float(y_new)]])
-
-        k = self.kernel(x[None, :], self._X).ravel()
-        kappa = float(self.kernel.diag(x[None, :])[0]) + self._diag_add
-        try:
-            chol = cholesky_append(self._chol, k, kappa)
-        except linalg.LinAlgError:
-            # Keep theta; redo the factorization with the jitter ladder.
-            hyperopt = self.optimize_hyperparams
-            self.optimize_hyperparams = False
-            try:
-                return self.fit(X_new, y_raw)
-            finally:
-                self.optimize_hyperparams = hyperopt
-
-        if self.normalize_y:
-            self._y_mean = float(y_raw.mean())
-            std = float(y_raw.std())
-            self._y_std = std if std > 0 else 1.0
-        yn = (y_raw - self._y_mean) / self._y_std
-        self._chol = chol
-        self._alpha = linalg.cho_solve((chol, True), yn)
-        self._X = X_new
-        self._y_raw = y_raw
-        self.log_marginal_likelihood_ = self._lml_from_factorization(yn)
         return self
-
-    def extends_by_one(self, X: np.ndarray, y: np.ndarray) -> bool:
-        """True when ``(X, y)`` equals the fitted data plus one new row."""
-        if self._X is None or self._y_raw is None:
-            return False
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.asarray(y, dtype=float).ravel()
-        n = len(self._X)
-        return (
-            len(X) == n + 1
-            and len(y) == n + 1
-            and np.array_equal(X[:n], self._X)
-            and np.array_equal(y[:n], self._y_raw)
-        )
 
     # ------------------------------------------------------------------
     def predict(

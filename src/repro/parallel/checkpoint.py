@@ -67,6 +67,8 @@ def _describe(obj: Any) -> str | None:
     have deterministic reprs; for plain objects we use the class name plus
     sorted instance attributes, never the default ``repr`` (whose memory
     address would change every process and silently defeat resume).
+    Random generators among the attributes are rendered by their
+    bit-generator state for the same reason.
     """
     if obj is None:
         return None
@@ -74,9 +76,15 @@ def _describe(obj: Any) -> str | None:
         return repr(obj)
     state = getattr(obj, "__dict__", None)
     if state is not None:
-        inner = ",".join(f"{k}={state[k]!r}" for k in sorted(state))
+        inner = ",".join(f"{k}={_describe_value(state[k])}" for k in sorted(state))
         return f"{type(obj).__qualname__}({inner})"
     return type(obj).__qualname__
+
+
+def _describe_value(value: Any) -> str:
+    if isinstance(value, np.random.Generator):
+        return f"Generator({value.bit_generator.state!r})"
+    return repr(value)
 
 
 def _describe_space(space: ConfigurationSpace) -> list[str]:

@@ -9,9 +9,6 @@ output bit:
   theta-independent pairwise structures (squared distances, Hamming
   mismatch counts) reused across the ~120 log-marginal-likelihood
   evaluations one L-BFGS-B GP hyperparameter fit performs (layer 1).
-- :mod:`repro.perf.incremental` — :func:`cholesky_append`, the O(n^2)
-  bordered-Cholesky update behind the GP's opt-in incremental refit
-  (layer 2).
 - :mod:`repro.perf.treefast` — the tree-ensemble fast path (layer 2b):
   once-per-dataset feature presorting with integer rank keys
   (:func:`feature_sort_ranks` / :func:`subset_sort_orders`) reused
@@ -29,7 +26,6 @@ output bit:
 """
 
 from repro.perf.cache import KernelCache
-from repro.perf.incremental import cholesky_append
 from repro.perf.treefast import (
     PackedTrees,
     feature_sort_ranks,
@@ -39,7 +35,6 @@ from repro.perf.treefast import (
 
 __all__ = [
     "KernelCache",
-    "cholesky_append",
     "PackedTrees",
     "feature_sort_ranks",
     "full_sort_orders",

@@ -10,8 +10,8 @@ wall-clock in, at several history sizes, in two arms each:
 ``candidate_pool``  Snapping a 1280-row candidate matrix to valid unit
                     encodings over a mixed (continuous/integer/
                     categorical, linear/log) space.
-``bo_iteration``    One steady-state BO iteration at history size ``n``:
-                    surrogate (re)build plus acquisition maximization.
+``bo_iteration``    One BO iteration at history size ``n``: from-scratch
+                    GP refit plus acquisition maximization.
 ``forest_fit``      SMAC-shaped random forest (20 trees, 0.8 features)
                     fit on an ``(n, 197)`` training set — the paper's
                     full-knob dimensionality.
@@ -28,11 +28,10 @@ wall-clock in, at several history sizes, in two arms each:
 
 The **baseline** arm reproduces the pre-acceleration implementations
 (``accelerated=False``: no distance caching, per-row decode/encode snap
-loop, from-scratch refit each iteration, per-node argsort split search,
-per-tree prediction loops, per-dimension KDE evaluation); the
-**optimized** arm enables the default-on layers plus — for
-``bo_iteration`` only — the opt-in incremental Cholesky append and
-warm-started refit schedule.  Results are written as JSON (default
+loop, per-node argsort split search, per-tree prediction loops,
+per-dimension KDE evaluation); the **optimized** arm enables the
+default-on layers.  Both ``bo_iteration`` arms refit the GP from
+scratch, the only schedule there is.  Results are written as JSON (default
 ``benchmarks/perf/BENCH_PR9.json``) so the perf trajectory is tracked
 in-repo from PR 4 onward; ``--validate`` checks an existing file against
 the schema without re-running anything, and ``--compare OLD NEW`` diffs
@@ -184,15 +183,9 @@ def _bo_iteration_seconds(
     space: ConfigurationSpace, n: int, seed: int, accelerated: bool
 ) -> float:
     history = _synthetic_history(space, n, seed)
-    if accelerated:
-        optimizer = VanillaBO(
-            space, seed=seed, accelerated=True, incremental=True, refit_every=5
-        )
-    else:
-        optimizer = VanillaBO(space, seed=seed, accelerated=False, full_refit=True)
-    # Untimed warm-up suggestion establishes the surrogate, so the timed
-    # call measures the steady state (for the optimized arm: one O(n^2)
-    # incremental append instead of a from-scratch hyperparameter fit).
+    optimizer = VanillaBO(space, seed=seed, accelerated=accelerated)
+    # Untimed warm-up suggestion; the timed call then refits on the
+    # history grown by one observation.
     config = optimizer.suggest(history)
     score = _surface_score(space.encode(config))
     history.append(Observation(config=config, objective=score, score=score))

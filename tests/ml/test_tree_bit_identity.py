@@ -267,16 +267,6 @@ class TestEnsembleIdentity:
         assert s1.tobytes() == s2.tobytes()
         assert fast.predict(X_test).tobytes() == ref.predict(X_test).tobytes()
 
-    def test_forest_n_jobs_matches_serial(self, forest_data):
-        X, y = forest_data
-        params = dict(n_estimators=6, max_features="sqrt", seed=3)
-        serial = RandomForestRegressor(**params).fit(X, y)
-        fanned = RandomForestRegressor(n_jobs=2, **params).fit(X, y)
-        for a, b in zip(serial.trees_, fanned.trees_):
-            _assert_trees_identical(a, b)
-        X_test = np.random.default_rng(1).random((40, 7))
-        assert serial.predict(X_test).tobytes() == fanned.predict(X_test).tobytes()
-
     @pytest.mark.parametrize("subsample", [1.0, 0.6])
     def test_gbm_bit_identity(self, forest_data, subsample):
         X, y = forest_data

@@ -79,6 +79,20 @@ class TestSpecKey:
         # computes, so a study resumed without its injectors still matches.
         assert spec_key(hooked) == base
 
+    @pytest.mark.parametrize("name", ["vanilla_bo", "tpe", "smac"])
+    def test_optimizer_instance_description_has_no_address(self, small_space, name):
+        # Specs may carry an optimizer instance, whose RNG must be
+        # described by state: a memory address differs every process
+        # and would make a resumed study re-run the spec.
+        from repro.optimizers import OPTIMIZER_REGISTRY
+        from repro.parallel.checkpoint import _describe
+
+        a = _describe(OPTIMIZER_REGISTRY[name](small_space, seed=7))
+        b = _describe(OPTIMIZER_REGISTRY[name](small_space, seed=7))
+        assert a == b
+        assert "0x" not in a
+        assert a != _describe(OPTIMIZER_REGISTRY[name](small_space, seed=8))
+
 
 class TestResultRoundTrip:
     def test_value_exact(self, small_space):
