@@ -28,6 +28,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import reprlib
+import types
 import warnings
 from typing import Any
 
@@ -67,8 +69,7 @@ def _describe(obj: Any) -> str | None:
     have deterministic reprs; for plain objects we use the class name plus
     sorted instance attributes, never the default ``repr`` (whose memory
     address would change every process and silently defeat resume).
-    Random generators among the attributes are rendered by their
-    bit-generator state for the same reason.
+    Attribute values are rendered by :func:`_describe_value`.
     """
     if obj is None:
         return None
@@ -81,9 +82,35 @@ def _describe(obj: Any) -> str | None:
     return type(obj).__qualname__
 
 
+@reprlib.recursive_repr()
 def _describe_value(value: Any) -> str:
+    """A process-stable rendering of one attribute value.
+
+    Values whose ``repr`` is already stable keep it byte for byte, so
+    existing keys do not change.  The rest are rendered by content:
+    generators by bit-generator state, arrays by shape, dtype and a hash
+    of their bytes (``repr`` elides large arrays), functions and classes
+    by qualified name, and objects with the default ``repr`` through
+    :func:`_describe`.  Lists, tuples and dicts are walked element-wise
+    in ``repr`` layout; the decorator cuts reference cycles.
+    """
     if isinstance(value, np.random.Generator):
         return f"Generator({value.bit_generator.state!r})"
+    if isinstance(value, np.ndarray):
+        digest = hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()
+        return f"ndarray(shape={value.shape!r},dtype={value.dtype.str},sha256={digest})"
+    if isinstance(value, (types.FunctionType, type)):
+        return value.__qualname__
+    if type(value) is list:
+        return "[" + ", ".join(_describe_value(v) for v in value) + "]"
+    if type(value) is tuple:
+        inner = ", ".join(_describe_value(v) for v in value)
+        return f"({inner},)" if len(value) == 1 else f"({inner})"
+    if type(value) is dict:
+        items = (f"{_describe_value(k)}: {_describe_value(v)}" for k, v in value.items())
+        return "{" + ", ".join(items) + "}"
+    if type(value).__repr__ is object.__repr__:
+        return _describe(value)
     return repr(value)
 
 

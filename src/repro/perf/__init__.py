@@ -1,4 +1,4 @@
-"""Surrogate hot-path acceleration primitives and the tracked benchmark harness.
+"""Surrogate hot-path acceleration primitives.
 
 Every optimizer study in the paper spends its wall-clock inside a
 surrogate model.  This package holds the machinery that removes the
@@ -16,13 +16,6 @@ output bit:
   :class:`PackedTrees`, the batched whole-ensemble descent behind
   forest/GBM prediction (native kernel when a C toolchain exists,
   vectorized numpy otherwise).
-- :mod:`repro.perf.bench` — ``python -m repro.perf.bench``, the
-  microbenchmark harness timing GP fit/predict, candidate-pool
-  construction, BO/SMAC/TPE iterations, and forest/GBM fit/predict in
-  baseline vs optimized arms; emits ``benchmarks/perf/BENCH_PR9.json``
-  so the perf trajectory is tracked in-repo from PR 4 onward (see
-  ``docs/PERFORMANCE.md``), and diffs tracked payloads via
-  ``--compare``.
 """
 
 from repro.perf.cache import KernelCache

@@ -20,8 +20,8 @@ Machinery shared by :mod:`repro.ml.tree`, :mod:`repro.ml.forest`, and
   engines: a tiny C kernel compiled on first use (gathers dominate the
   numpy formulation, and a compiled loop removes that per-element
   overhead entirely), and a vectorized numpy loop over the still-pending
-  pairs used whenever no C toolchain is available.  Selection is
-  automatic; set ``REPRO_TREEFAST_NATIVE=0`` to force the numpy engine.
+  pairs used whenever no C toolchain is available or compilation
+  fails.  Selection is automatic.
 
 Everything here is bit-identical to the scalar reference paths by
 construction: stable sort permutations are uniquely determined by the
@@ -139,7 +139,7 @@ void repro_forest_apply(const double *X, int64_t n, int64_t d,
 """
 
 #: ``None`` until first use, then the kernel callable or ``False`` when
-#: unavailable (disabled, no compiler, or compilation failed).
+#: unavailable (no compiler, or compilation failed).
 _NATIVE_KERNEL: Callable[..., None] | bool | None = None
 
 
@@ -196,13 +196,10 @@ def native_kernel() -> Callable[..., None] | None:
     """The compiled descent kernel, or ``None`` when unavailable."""
     global _NATIVE_KERNEL
     if _NATIVE_KERNEL is None:
-        if os.environ.get("REPRO_TREEFAST_NATIVE", "1") == "0":
+        try:
+            _NATIVE_KERNEL = _compile_native() or False
+        except OSError:
             _NATIVE_KERNEL = False
-        else:
-            try:
-                _NATIVE_KERNEL = _compile_native() or False
-            except OSError:
-                _NATIVE_KERNEL = False
     return _NATIVE_KERNEL or None
 
 

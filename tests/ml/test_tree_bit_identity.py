@@ -290,6 +290,26 @@ class TestEnsembleIdentity:
         without_kernel = forest.tree_predictions(X_test)
         assert with_kernel.tobytes() == without_kernel.tobytes()
 
+    def test_failed_compilation_falls_back_to_numpy(self, forest_data, monkeypatch, tmp_path):
+        # The numpy engine is selected only when the kernel cannot be
+        # built: a fresh cache directory forces a compile, and every
+        # compiler invocation fails.
+        X, y = forest_data
+        forest = RandomForestRegressor(n_estimators=10, seed=7).fit(X, y)
+        X_test = np.random.default_rng(9).random((300, 7))
+        with_kernel = forest.tree_predictions(X_test)
+
+        def no_compiler(*args, **kwargs):
+            raise OSError("no C compiler")
+
+        monkeypatch.setattr(treefast, "_NATIVE_KERNEL", None)
+        monkeypatch.setattr(treefast.tempfile, "gettempdir", lambda: str(tmp_path))
+        monkeypatch.setattr(treefast.subprocess, "run", no_compiler)
+        assert treefast.native_kernel() is None
+        forest._packed = None  # repack under the numpy engine
+        without_kernel = forest.tree_predictions(X_test)
+        assert with_kernel.tobytes() == without_kernel.tobytes()
+
 
 def _mixed_space() -> ConfigurationSpace:
     return ConfigurationSpace(

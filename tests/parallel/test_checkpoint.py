@@ -54,6 +54,14 @@ def _specs(space, n_runs=4, n_iterations=5, seed=31):
     )
 
 
+def _instance_spec(space, optimizer):
+    from repro.parallel.spec import RunSpec
+
+    return RunSpec(
+        run_index=0, workload="SYSBENCH", space=space, n_iterations=5, optimizer=optimizer
+    )
+
+
 class TestSpecKey:
     def test_stable_across_rebuilds(self, small_space):
         # Two independently materialized spec lists (same arguments) must
@@ -92,6 +100,51 @@ class TestSpecKey:
         assert a == b
         assert "0x" not in a
         assert a != _describe(OPTIMIZER_REGISTRY[name](small_space, seed=8))
+
+    def test_identical_ddpg_specs_share_a_key(self, small_space):
+        # A DDPG instance carries its agent (networks, Adam moments,
+        # replay buffer), all plain objects with the default repr: they
+        # must be described by content, not by memory address.
+        from repro.optimizers import DDPG
+
+        a = spec_key(_instance_spec(small_space, DDPG(small_space, seed=0)))
+        b = spec_key(_instance_spec(small_space, DDPG(small_space, seed=0)))
+        assert a == b
+
+    def test_self_referencing_object_is_described(self):
+        from repro.parallel.checkpoint import _describe
+
+        class Node:
+            def __init__(self):
+                self.peers = [self]
+
+        assert _describe(Node()) == _describe(Node())
+
+    def test_ddpg_key_tracks_agent_training(self, small_space):
+        import numpy as np
+
+        from repro.optimizers import DDPG
+        from repro.optimizers.ddpg import _Transition
+
+        fresh, trained = DDPG(small_space, seed=0), DDPG(small_space, seed=0)
+        agent = fresh.agent
+        rng = np.random.default_rng(0)
+        transitions = [
+            _Transition(
+                state=rng.random(agent.state_dim),
+                action=rng.random(agent.action_dim),
+                reward=float(rng.random()),
+                next_state=rng.random(agent.state_dim),
+            )
+            for _ in range(agent.batch_size)
+        ]
+        for optimizer in (fresh, trained):
+            for transition in transitions:
+                optimizer.agent.remember(transition)
+        assert trained.agent.train_batch() is not None
+        assert spec_key(_instance_spec(small_space, fresh)) != spec_key(
+            _instance_spec(small_space, trained)
+        )
 
 
 class TestResultRoundTrip:
